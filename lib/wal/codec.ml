@@ -213,42 +213,52 @@ let size_payload (payload : Record.payload) =
 
 let encoded_size r = size_i64 + size_payload (Record.payload r)
 
-(* --- decoding --- *)
+(* --- decoding ---
+
+   The cursor reads bytes [pos .. lim-1] of a buffer in place, so a
+   frame can be decoded where it sits in the stable log: [lim] is the
+   frame end, and no read may cross it into the next frame. *)
 
 type cursor = {
-  data : string;
+  data : Bytes.t;
   mutable pos : int;
+  lim : int;
 }
 
-let cursor data = { data; pos = 0 }
-
 let need c n =
-  if c.pos + n > String.length c.data then
-    fail "truncated record: need %d bytes at offset %d of %d" n c.pos (String.length c.data)
+  if c.pos + n > c.lim then
+    fail "truncated record: need %d bytes at offset %d, frame ends at %d" n c.pos c.lim
 
 let get_u8 c =
   need c 1;
-  let n = Char.code c.data.[c.pos] in
+  let n = Char.code (Bytes.unsafe_get c.data c.pos) in
   c.pos <- c.pos + 1;
   n
 
 let get_u32 c =
   need c 4;
-  let n = Int32.to_int (String.get_int32_be c.data c.pos) in
+  let n = Int32.to_int (Bytes.get_int32_be c.data c.pos) in
   c.pos <- c.pos + 4;
   if n < 0 then fail "negative length";
   n
 
 let get_i64 c =
   need c 8;
-  let n = Int64.to_int (String.get_int64_be c.data c.pos) in
+  let n = Int64.to_int (Bytes.get_int64_be c.data c.pos) in
   c.pos <- c.pos + 8;
   n
+
+(* LSNs are never negative; rejecting one here keeps untrusted bytes
+   from reaching [Lsn.of_int]'s [Invalid_argument]. *)
+let get_lsn c =
+  let n = get_i64 c in
+  if n < 0 then fail "negative lsn %d" n;
+  Lsn.of_int n
 
 let get_string c =
   let len = get_u32 c in
   need c len;
-  let s = String.sub c.data c.pos len in
+  let s = Bytes.sub_string c.data c.pos len in
   c.pos <- c.pos + len;
   s
 
@@ -327,7 +337,7 @@ let get_payload c : Record.payload =
     let dirty_pages =
       get_list c (fun c ->
           let pid = get_i64 c in
-          pid, Lsn.of_int (get_i64 c))
+          pid, get_lsn c)
     in
     Record.Checkpoint { dirty_pages; note = get_string c }
   | 6 ->
@@ -335,18 +345,20 @@ let get_payload c : Record.payload =
     Record.App_op { tag; body = get_string c }
   | 7 ->
     let shard_pages = get_ints c in
-    let horizon = Lsn.of_int (get_i64 c) in
+    let horizon = get_lsn c in
     let shard_index = get_u32 c in
     let shard_total = get_u32 c in
     Record.Shard_checkpoint { shard_pages; horizon; shard_index; shard_total; shard_note = get_string c }
   | tag -> fail "unknown record tag %d" tag
 
-let decode_record data =
-  let c = cursor data in
-  let raw_lsn = get_i64 c in
-  if raw_lsn < 0 then fail "negative lsn %d" raw_lsn;
-  let lsn = Lsn.of_int raw_lsn in
+let decode_record_at data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then invalid_arg "Codec.decode_record_at";
+  let c = { data; pos; lim = pos + len } in
+  let lsn = get_lsn c in
   let payload = get_payload c in
-  if c.pos <> String.length data then
-    fail "trailing bytes: %d of %d consumed" c.pos (String.length data);
+  if c.pos <> c.lim then fail "trailing bytes: %d of %d consumed" (c.pos - pos) len;
   Record.make ~lsn payload
+
+(* Decoding only reads, so the string can be viewed as bytes. *)
+let decode_record data =
+  decode_record_at (Bytes.unsafe_of_string data) ~pos:0 ~len:(String.length data)

@@ -261,12 +261,11 @@ let crash_torn t ~drop =
      this models the batch racing the crash: its waiters were never
      completed, so nothing observable claimed the torn frames. *)
   notify_group_crash t;
-  let buf = Buffer.create 256 in
+  let written = ref 0 in
   for i = Lsn.to_int t.flushed to t.len - 1 do
-    Stable_log.encode_frame buf (Codec.encode_record t.arr.(i))
+    written := !written + Stable_log.append_record t.medium t.arr.(i)
   done;
-  let written = max 0 (Buffer.length buf - drop) in
-  ignore (Stable_log.append_raw t.medium (Buffer.sub buf 0 written));
+  Stable_log.tear t.medium ~drop:(min drop !written);
   restore_from_medium t
 
 let slice t ~lo ~hi =

@@ -9,9 +9,11 @@
    glosses over.
 
    The medium is a growable byte array with an explicit length, so an
-   append is one frame encoding into a reused scratch buffer plus a
-   blit, and tearing/truncation just move the length — no wholesale
-   copies of the log on the hot path. *)
+   append writes its frame straight into the slack and checksums the
+   payload there, and tearing/truncation just move the length — no
+   wholesale copies of the log on the hot path. The scan likewise
+   checksums and decodes each payload in place, bounded by its frame
+   end, without copying it out. *)
 
 module Metrics = Redo_obs.Metrics
 module Trace = Redo_obs.Trace
@@ -27,13 +29,12 @@ type t = {
   mutable data : Bytes.t;
   mutable len : int;  (* bytes 0..len-1 are the log; the rest is slack *)
   mutable frames : int;
-  scratch : Buffer.t;  (* reused per-append frame staging *)
 }
 
 let header_size = 8
 
 let create ?(capacity = 1024) () =
-  { data = Bytes.create (max 64 capacity); len = 0; frames = 0; scratch = Buffer.create 256 }
+  { data = Bytes.create (max 64 capacity); len = 0; frames = 0 }
 
 let byte_size t = t.len
 let frame_count t = t.frames
@@ -50,26 +51,24 @@ let ensure t extra =
     t.data <- data
   end
 
-let encode_frame buf payload =
-  Buffer.add_int32_be buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_be buf (Int32.of_int (Checksum.string payload));
-  Buffer.add_string buf payload
-
 let append t payload =
-  Buffer.clear t.scratch;
-  encode_frame t.scratch payload;
-  let n = Buffer.length t.scratch in
+  let payload_len = String.length payload in
+  let n = header_size + payload_len in
   ensure t n;
-  Buffer.blit t.scratch 0 t.data t.len n;
-  t.len <- t.len + n;
+  let data = t.data and pos = t.len in
+  Bytes.set_int32_be data pos (Int32.of_int payload_len);
+  Bytes.blit_string payload 0 data (pos + header_size) payload_len;
+  let crc = Checksum.update 0 data ~pos:(pos + header_size) ~len:payload_len in
+  Bytes.set_int32_be data (pos + 4) (Int32.of_int crc);
+  t.len <- pos + n;
   t.frames <- t.frames + 1;
   Metrics.incr c_frames;
   n
 
 let append_record t record = append t (Codec.encode_record record)
 
-(* Append pre-framed bytes verbatim (possibly ending mid-frame): used to
-   model a force interrupted by a crash. *)
+(* Append pre-framed bytes verbatim (possibly ending mid-frame), e.g.
+   frames written by an earlier build of this module. *)
 let append_raw t bytes =
   let n = String.length bytes in
   ensure t n;
@@ -102,11 +101,11 @@ let scan t =
       if payload_len < 0 || pos + header_size + payload_len > len then
         { records = List.rev acc; valid_bytes = pos; torn = true }
       else
-        let payload = Bytes.sub_string data (pos + header_size) payload_len in
-        if Checksum.string payload <> crc then
+        let start = pos + header_size in
+        if Checksum.update 0 data ~pos:start ~len:payload_len <> crc then
           { records = List.rev acc; valid_bytes = pos; torn = true }
         else
-          match Codec.decode_record payload with
+          match Codec.decode_record_at data ~pos:start ~len:payload_len with
           | record -> go (pos + header_size + payload_len) (record :: acc)
           | exception Codec.Decode_error _ ->
             { records = List.rev acc; valid_bytes = pos; torn = true }

@@ -16,20 +16,17 @@ val create : ?capacity:int -> unit -> t
 val byte_size : t -> int
 val frame_count : t -> int
 
-val encode_frame : Buffer.t -> string -> unit
-(** Append one [[u32 length | u32 crc32 | payload]] frame for [payload]
-    to the buffer — the one frame layout, shared by {!append} and any
-    caller staging frames itself (e.g. a torn-force simulation). *)
-
 val append : t -> string -> int
-(** Append one frame; returns the bytes written (payload + 8). *)
+(** Append one [[u32 length | u32 crc32 | payload]] frame, written and
+    checksummed directly in the medium — the one place that writes the
+    frame layout; returns the bytes written (payload + 8). *)
 
 val append_record : t -> Record.t -> int
 (** [append] of {!Codec.encode_record}. *)
 
 val append_raw : t -> string -> int
-(** Append pre-framed bytes verbatim, possibly ending mid-frame — a
-    force interrupted by a crash. *)
+(** Append pre-framed bytes verbatim, possibly ending mid-frame — e.g.
+    frames written by an earlier build of this module. *)
 
 val tear : t -> drop:int -> unit
 (** Crash-injection: chop the final [drop] bytes (a torn write). *)
@@ -41,6 +38,9 @@ type scan_result = {
 }
 
 val scan : t -> scan_result
+(** Read frames from the start until the first short, bad-CRC or
+    undecodable one. Each payload is checksummed and decoded where it
+    sits in the medium ({!Codec.decode_record_at}), never copied out. *)
 
 val truncate_torn : t -> Record.t list
 (** Scan, discard any torn tail from the medium, return the surviving

@@ -8,15 +8,65 @@ let test_crc_known_value () =
 let test_crc_incremental () =
   let whole = Checksum.string "hello world" in
   let b = Bytes.of_string "hello world" in
-  let crc = Checksum.update 0 b ~pos:0 ~len:5 in
-  (* Incremental over the complemented running value: our [update] folds
-     whole chunks, so recombining means feeding the rest. *)
-  let crc = Checksum.update crc b ~pos:5 ~len:6 in
-  (* update is not chunk-composable the naive way for CRC32 without the
-     final xor dance; verify at least that a single full pass matches
-     [bytes]. *)
-  ignore crc;
   Alcotest.(check int) "bytes = string" whole (Checksum.bytes b)
+
+(* Bit-at-a-time CRC-32 straight from the definition (reflected
+   polynomial 0xEDB88320, pre- and post-inverted): the reference the
+   sliced table implementation must match bit for bit. *)
+let reference_crc b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let rand_bytes rng n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 0xc3c |] in
+  for len = 0 to 80 do
+    for _ = 1 to 4 do
+      (* Random slack on both sides puts [pos] on every alignment. *)
+      let pos = Random.State.int rng 16 in
+      let b = rand_bytes rng (pos + len + Random.State.int rng 16) in
+      let expected = reference_crc b ~pos ~len in
+      Alcotest.(check int) (Printf.sprintf "len %d at pos %d" len pos) expected
+        (Checksum.update 0 b ~pos ~len);
+      Alcotest.(check int) "bytes ~pos ~len" expected (Checksum.bytes ~pos ~len b)
+    done
+  done
+
+let prop_crc_chained seed =
+  (* Feeding a buffer in chunks, each call continuing from the last
+     result, equals one pass over the whole buffer. *)
+  let rng = Random.State.make [| seed; 0xc4a1 |] in
+  let len = Random.State.int rng 200 in
+  let b = rand_bytes rng len in
+  let rec chain crc pos =
+    if pos = len then crc
+    else
+      let n = 1 + Random.State.int rng (len - pos) in
+      chain (Checksum.update crc b ~pos ~len:n) (pos + n)
+  in
+  let whole = Checksum.bytes b in
+  chain 0 0 = whole && whole = reference_crc b ~pos:0 ~len
+
+let test_crc_bounds () =
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: out-of-range read accepted" name
+  in
+  let b = Bytes.create 8 in
+  rejects "len past end" (fun () -> Checksum.bytes ~pos:0 ~len:4096 b);
+  rejects "pos past end" (fun () -> Checksum.bytes ~pos:9 b);
+  rejects "negative pos" (fun () -> Checksum.update 0 b ~pos:(-1) ~len:2);
+  rejects "negative len" (fun () -> Checksum.update 0 b ~pos:2 ~len:(-1));
+  rejects "range one past end" (fun () -> Checksum.update 0 b ~pos:1 ~len:8);
+  Alcotest.(check int) "empty range at end" 0 (Checksum.update 0 b ~pos:8 ~len:0)
 
 (* --- random record generation for fuzzing --- *)
 
@@ -61,8 +111,11 @@ let rand_page_op rng : Page_op.t =
   | 7 -> Page_op.Internal_add { sep = rand_string rng; right = Random.State.int rng 100 }
   | _ -> Page_op.Drop_from { key = rand_string rng }
 
-let rand_payload rng : Record.payload =
-  match Random.State.int rng 7 with
+(* One generator per payload kind; [rand_payload] draws the kind first. *)
+let payload_kinds = 7
+
+let rand_payload_of_kind rng kind : Record.payload =
+  match kind with
   | 0 -> Record.Physical { pid = Random.State.int rng 64; image = rand_data rng }
   | 1 -> Record.Physiological { pid = Random.State.int rng 64; op = rand_page_op rng }
   | 2 ->
@@ -93,6 +146,8 @@ let rand_payload rng : Record.payload =
         shard_note = rand_string rng;
       }
 
+let rand_payload rng = rand_payload_of_kind rng (Random.State.int rng payload_kinds)
+
 let rand_record rng = Record.make ~lsn:(Lsn.of_int (1 + Random.State.int rng 10_000)) (rand_payload rng)
 
 let prop_roundtrip seed =
@@ -121,6 +176,112 @@ let test_decode_rejects_garbage () =
   match Codec.decode_record (Codec.encode_record r ^ "x") with
   | exception Codec.Decode_error _ -> ()
   | _ -> Alcotest.fail "trailing bytes should fail"
+
+(* Bytes of a payload built by hand, so a field the encoder never emits
+   (a negative LSN) reaches the decoder. *)
+let checkpoint_payload_with_dirty_lsn dirty_lsn =
+  let b = Buffer.create 64 in
+  Buffer.add_int64_be b 9L (* record lsn *);
+  Buffer.add_uint8 b 5 (* Checkpoint *);
+  Buffer.add_int32_be b 1l (* one dirty page *);
+  Buffer.add_int64_be b 3L (* pid *);
+  Buffer.add_int64_be b (Int64.of_int dirty_lsn);
+  Buffer.add_int32_be b 0l (* empty note *);
+  Buffer.contents b
+
+let shard_payload_with_horizon horizon =
+  let b = Buffer.create 64 in
+  Buffer.add_int64_be b 9L (* record lsn *);
+  Buffer.add_uint8 b 7 (* Shard_checkpoint *);
+  Buffer.add_int32_be b 0l (* no pages *);
+  Buffer.add_int64_be b (Int64.of_int horizon);
+  Buffer.add_int32_be b 0l (* shard_index *);
+  Buffer.add_int32_be b 1l (* shard_total *);
+  Buffer.add_int32_be b 0l (* empty note *);
+  Buffer.contents b
+
+let test_negative_lsn_ends_log () =
+  List.iter
+    (fun (name, payload) ->
+      (* The hand-built layout is right: a non-negative LSN decodes. *)
+      ignore (Codec.decode_record (payload 2));
+      (match Codec.decode_record (payload (-1)) with
+      | exception Codec.Decode_error _ -> ()
+      | _ -> Alcotest.failf "%s: negative lsn decoded" name);
+      (* Framed with a valid CRC, the frame passes the checksum and must
+         end the log at the decoder, not raise out of the scan. *)
+      let rng = Random.State.make [| 11 |] in
+      let before = List.init 3 (fun _ -> rand_record rng) in
+      let log = Stable_log.create () in
+      List.iter (fun r -> ignore (Stable_log.append_record log r)) before;
+      ignore (Stable_log.append log (payload (-5)));
+      ignore (Stable_log.append_record log (rand_record rng));
+      let result = Stable_log.scan log in
+      Alcotest.(check bool) (name ^ ": torn") true result.Stable_log.torn;
+      Alcotest.(check bool) (name ^ ": records before it kept") true
+        (result.Stable_log.records = before))
+    [
+      "checkpoint dirty-page lsn", checkpoint_payload_with_dirty_lsn;
+      "shard checkpoint horizon", shard_payload_with_horizon;
+    ]
+
+(* A payload embedded between random bytes decodes in place to the same
+   record, and a frame end one byte short raises instead of reading the
+   neighbouring byte (which here holds the payload's real last byte, so
+   a decoder ignoring the bound would succeed or fail later). *)
+let test_decode_in_place () =
+  let rng = Random.State.make [| 0x1e1a |] in
+  for kind = 0 to payload_kinds - 1 do
+    for _ = 1 to 50 do
+      let r =
+        Record.make ~lsn:(Lsn.of_int (1 + Random.State.int rng 10_000)) (rand_payload_of_kind rng kind)
+      in
+      let payload = Codec.encode_record r in
+      let len = String.length payload in
+      let pos = Random.State.int rng 24 in
+      let b = rand_bytes rng (pos + len + Random.State.int rng 24) in
+      Bytes.blit_string payload 0 b pos len;
+      Alcotest.(check bool) "in place = bare" true
+        (Codec.decode_record_at b ~pos ~len = Codec.decode_record payload);
+      match Codec.decode_record_at b ~pos ~len:(len - 1) with
+      | exception Codec.Decode_error msg ->
+        Alcotest.(check bool) ("stopped at the frame end: " ^ msg) true
+          (String.starts_with ~prefix:"truncated" msg)
+      | _ -> Alcotest.fail "a frame one byte short decoded"
+    done
+  done;
+  match Codec.decode_record_at (Bytes.create 8) ~pos:4 ~len:8 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a range past the buffer was accepted"
+
+(* Frames written by the byte-at-a-time CRC this codec used before it
+   was sliced: four records covering short and multi-word payloads. *)
+let golden_frames =
+  "00000014b57c681200000000000000010400000000016b0000000176000000333e944c58000000000000000202000000000000000300000000036b657900000016612076616c7565206f6620736f6d65206c656e6774680000002708ce819d000000000000000305000000010000000000000003000000000000000200000006676f6c64656e0000003b2254b061000000000000000406000000017400000029303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758"
+
+let golden_records =
+  [
+    Record.make ~lsn:(Lsn.of_int 1) (Record.Logical (Record.Db_put ("k", "v")));
+    Record.make ~lsn:(Lsn.of_int 2)
+      (Record.Physiological { pid = 3; op = Page_op.Put ("key", "a value of some length") });
+    Record.make ~lsn:(Lsn.of_int 3)
+      (Record.Checkpoint { dirty_pages = [ 3, Lsn.of_int 2 ]; note = "golden" });
+    Record.make ~lsn:(Lsn.of_int 4)
+      (Record.App_op { tag = "t"; body = String.init 41 (fun i -> Char.chr (48 + i)) });
+  ]
+
+let test_golden_frames () =
+  let frames = Util.of_hex golden_frames in
+  let log = Stable_log.create () in
+  ignore (Stable_log.append_raw log frames);
+  let result = Stable_log.scan log in
+  Alcotest.(check bool) "old frames verify" false result.Stable_log.torn;
+  Alcotest.(check bool) "old frames decode" true (result.Stable_log.records = golden_records);
+  let appended = Stable_log.create () in
+  List.iter (fun r -> ignore (Stable_log.append_record appended r)) golden_records;
+  Alcotest.(check int) "append size" (String.length frames) (Stable_log.byte_size appended);
+  Alcotest.(check bool) "append scans back" true
+    ((Stable_log.scan appended).Stable_log.records = golden_records)
 
 let test_stable_log_roundtrip () =
   let log = Stable_log.create () in
@@ -252,6 +413,11 @@ let suite =
   [
     Alcotest.test_case "crc known value" `Quick test_crc_known_value;
     Alcotest.test_case "crc bytes = string" `Quick test_crc_incremental;
+    Alcotest.test_case "sliced crc = bitwise reference" `Quick test_crc_matches_reference;
+    Alcotest.test_case "crc rejects out-of-range reads" `Quick test_crc_bounds;
+    Alcotest.test_case "negative lsn ends the log" `Quick test_negative_lsn_ends_log;
+    Alcotest.test_case "decode in place stays in its frame" `Quick test_decode_in_place;
+    Alcotest.test_case "byte-loop crc frames still verify" `Quick test_golden_frames;
     Alcotest.test_case "decode rejects garbage" `Quick test_decode_rejects_garbage;
     Alcotest.test_case "stable log roundtrip" `Quick test_stable_log_roundtrip;
     Alcotest.test_case "stable log torn tail" `Quick test_stable_log_torn_tail;
@@ -259,6 +425,7 @@ let suite =
     Alcotest.test_case "shard checkpoint roundtrip" `Quick test_shard_ckpt_roundtrip;
     Alcotest.test_case "shard checkpoint torn tail" `Quick test_shard_ckpt_torn_tail;
     Alcotest.test_case "log manager torn crash" `Quick test_log_manager_torn_crash;
+    Util.qtest ~count:300 "crc chained over random splits = one pass" prop_crc_chained;
     Util.qtest ~count:300 "codec roundtrip (fuzz)" prop_roundtrip;
     Util.qtest ~count:300 "encoded_size matches encoder (fuzz)" prop_encoded_size;
     Util.qtest ~count:200 "torn logs always scan to a clean prefix" prop_torn_tail_always_clean;

@@ -153,6 +153,29 @@ let test_save_load () =
               Alcotest.(check bool) "identical frame" true (a = b))
             before.Flight.frames after.Flight.frames))
 
+(* A dump saved when frames were checksummed by the byte-at-a-time CRC
+   (three events, one sealed segment) still loads clean. *)
+let golden_dump =
+  "5245444f464c5432000000010000000000000001000000010000004c000000066ef572130101008006070000000675bc75ad0202008016080000002819c7e3b20b0300801e22676f6c64656e20666c69676874206672616d652c20627974652d6c6f6f7020637263"
+
+let test_golden_dump () =
+  let file = Filename.temp_file "flight_golden" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out_bin file in
+      output_string oc (Util.of_hex golden_dump);
+      close_out oc;
+      let scan = Flight.load file in
+      Alcotest.(check int) "no torn segment" 0 scan.Flight.torn_segments;
+      Alcotest.(check bool) "events intact" true
+        (List.map (fun (f : Flight.frame) -> f.Flight.event) scan.Flight.frames
+        = [
+            Flight.Commit { lsn = 7 };
+            Flight.Stage { lsn = 8 };
+            Flight.Note "golden flight frame, byte-loop crc";
+          ]))
+
 let test_triage_torn_group_force () =
   (* The t_group_commit torn-batch scenario, judged post-mortem: two
      barriered commits (stability claimed), four staged tickets racing
@@ -257,6 +280,7 @@ let suite =
     Alcotest.test_case "ring rotation bounds" `Quick test_ring_rotation;
     Alcotest.test_case "event codec roundtrip" `Quick test_event_codec;
     Alcotest.test_case "save/load dump roundtrip" `Quick test_save_load;
+    Alcotest.test_case "byte-loop crc dump still loads" `Quick test_golden_dump;
     Alcotest.test_case "triage reproduces torn-batch verdicts" `Quick
       test_triage_torn_group_force;
     Alcotest.test_case "simulator run leaves a readable flight" `Quick

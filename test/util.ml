@@ -26,6 +26,10 @@ let check_value msg expected actual =
 
 let cg_of exec = Conflict_graph.of_exec exec
 
+(* Bytes from a hex string, two digits per byte (golden byte images). *)
+let of_hex h =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
 (* Run a qcheck property over deterministic seeds. *)
 let qtest ?(count = 100) name prop =
   QCheck_alcotest.to_alcotest
