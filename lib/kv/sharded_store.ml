@@ -7,6 +7,7 @@ module Flight = Redo_obs.Flight
 module Oplat = Redo_obs.Oplat
 module Installer = Redo_ckpt.Installer
 module Lazy_redo = Redo_restart.Lazy_redo
+module Redo_engine = Redo_restart.Redo_engine
 module Kv_layout = Redo_methods.Kv_layout
 module Projection = Redo_methods.Projection
 module Theory_check = Redo_methods.Theory_check
@@ -208,7 +209,6 @@ let page_entries t shard pid =
 (* ---- normal operation (client side) -------------------------------- *)
 
 let route t key op =
-  ensure_open t;
   Oplat.first_op ();
   let pid = locate t key in
   let shard = owner t pid in
@@ -231,12 +231,15 @@ let route t key op =
         Oplat.register tk ~lsn:(Lsn.to_int lsn) ~durable:false;
         ignore (Log_manager.force_async t.log ~upto:lsn))
 
+(* Open check first, so a rejected call leaves the counters alone. *)
 let put t key value =
+  ensure_open t;
   if String.length key = 0 then invalid_arg "Sharded_store.put: empty key";
   Atomic.incr t.puts;
   route t key (Page_op.Put (key, value))
 
 let delete t key =
+  ensure_open t;
   Atomic.incr t.deletes;
   route t key (Page_op.Del key)
 
@@ -392,82 +395,25 @@ let crash_torn t ~drop = crash_with t ~torn:true ~drop
 
 (* ---- recovery ------------------------------------------------------- *)
 
-let scan_start t =
-  match Log_manager.last_stable_checkpoint t.log with
-  | None -> Lsn.of_int 1
-  | Some (ckpt_lsn, { Record.dirty_pages; _ }) ->
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) (Lsn.next ckpt_lsn) dirty_pages
-
-(* The ARIES-style analysis pass, verbatim from the physiological
-   method: rebuild the dirty-page table from the newest checkpoint and
-   every later record, and start redo at its oldest recLSN. The DPT is
-   a pid-indexed array (the page universe is dense and known): the redo
-   test runs once per scanned record on the restart open path, where a
-   hash lookup per record is the difference between opening in
-   milliseconds and tens of them. *)
-let analysis t =
-  let ckpt_lsn, dpt0 =
-    match Log_manager.last_stable_checkpoint t.log with
-    | None -> Lsn.zero, []
-    | Some (lsn, { Record.dirty_pages; _ }) -> lsn, dirty_pages
-  in
-  let tail_start = Lsn.next ckpt_lsn in
-  let dpt = Array.make t.n_partitions None in
-  List.iter (fun (pid, rec_lsn) -> dpt.(pid) <- Some rec_lsn) dpt0;
-  let tail = Log_manager.records_from t.log ~from:tail_start in
-  let scanned = ref 0 in
-  List.iter
-    (fun r ->
-      incr scanned;
-      match Record.payload r with
-      | Record.Physiological { pid; _ } ->
-        if dpt.(pid) = None then dpt.(pid) <- Some (Record.lsn r)
-      | _ -> ())
-    tail;
-  let redo_start =
-    Array.fold_left
-      (fun acc entry -> match entry with Some rec_lsn -> min acc rec_lsn | None -> acc)
-      tail_start dpt
-  in
-  (* The redo slice extends the analysis tail down to the oldest recLSN
-     — identical to the tail when the checkpoint's dirty-page table
-     holds nothing older (the common case), so reuse it rather than
-     walking the log a second time. *)
-  let slice =
-    if Lsn.(tail_start <= redo_start) then tail
-    else Log_manager.records_from t.log ~from:redo_start
-  in
-  dpt, redo_start, !scanned, slice
-
-(* The lazy sibling of the eager replay closure below: drain one page's
-   queue under the same page-LSN redo test, on the page's owner domain,
-   without re-logging (these records are already stable). The plan
-   excluded everything surely on disk, so the only skips here are
+(* Drain one page's queue on its owner domain, through the engine's
+   redo step (no re-logging: these records are already stable). The
+   plan excluded everything surely on disk, so the only skips here are
    records a previous partial restart already applied. *)
 let lazy_apply t rs_records rs_replayed ~shard ~pid:_ records =
   let s = t.shard_arr.(shard) in
-  let redone = ref 0 and skipped = ref 0 in
-  Array.iter
-    (fun r ->
-      match Record.payload r with
-      | Record.Physiological { pid; op } ->
-        let page = Cache.read s.cache pid in
-        if Lsn.(Page.lsn page < Record.lsn r) then begin
-          Cache.update s.cache pid ~lsn:(Record.lsn r) (Page_op.apply op);
-          incr redone
-        end
-        else incr skipped
-      | _ -> assert false)
-    records;
-  Metrics.add c_replayed !redone;
-  ignore (Atomic.fetch_and_add t.redone !redone);
-  ignore (Atomic.fetch_and_add t.skipped !skipped);
+  let redone =
+    Array.fold_left (fun acc r -> if Redo_engine.redo s.cache r then acc + 1 else acc) 0 records
+  in
   let n = Array.length records in
+  let skipped = n - redone in
+  Metrics.add c_replayed redone;
+  ignore (Atomic.fetch_and_add t.redone redone);
+  ignore (Atomic.fetch_and_add t.skipped skipped);
   let replayed = Atomic.fetch_and_add rs_replayed.(shard) n + n in
   if Oplat.enabled () then
     Oplat.recovery_progress ~shard ~replayed
       ~remaining:(max 0 (rs_records.(shard) - replayed));
-  !redone, !skipped
+  redone, skipped
 
 let recover ?(mode = `Eager) t =
   ensure_open t;
@@ -485,22 +431,8 @@ let recover ?(mode = `Eager) t =
   Span.span "kv.recover"
     ~attrs:[ "shards", Span.Int t.nshards; "mode", Span.String mode_name ]
   @@ fun () ->
-  let dpt, _redo_start, analysis_scanned, slice = analysis t in
-  (* Horizons as a pid-indexed array too; [Lsn.zero] = no horizon
-     (every real record's LSN is above it). *)
-  let horizons = Array.make t.n_partitions Lsn.zero in
-  List.iter
-    (fun (pid, h) -> horizons.(pid) <- h)
-    (Log_manager.stable_shard_horizons t.log);
-  (* [dpt] and [horizons] are read-only from here on: sharing them with
-     the worker domains is safe. *)
-  let surely_on_disk ~pid ~lsn =
-    Lsn.(lsn <= horizons.(pid))
-    ||
-    match dpt.(pid) with
-    | None -> true (* clean at the crash: all its updates were flushed *)
-    | Some rec_lsn -> Lsn.(lsn < rec_lsn)
-  in
+  let a = Redo_engine.analyze t.log ~pages:t.n_partitions in
+  let scanned = List.length a.slice in
   match mode with
   | `Instant ->
     (* Instant restart: partition the redo slice into per-page queues
@@ -508,8 +440,8 @@ let recover ?(mode = `Eager) t =
        touched page drains on demand on its owner domain, and the
        sweeper walks the cold tail hottest-first until the recovered
        set is total. *)
-    let scanned = List.length slice in
-    let plan = Lazy_redo.plan ~shards:t.nshards ~surely_on_disk slice in
+    let surely_on_disk = Redo_engine.surely_on_disk a in
+    let plan = Lazy_redo.plan ~shards:t.nshards ~surely_on_disk a.slice in
     let preskipped = Lazy_redo.plan_preskipped plan in
     Atomic.incr t.recoveries;
     ignore (Atomic.fetch_and_add t.scanned scanned);
@@ -536,115 +468,50 @@ let recover ?(mode = `Eager) t =
             (Mailbox.call s.mailbox (fun () ->
                  if Lazy_redo.ensure lr ~pid ~trigger then rec_finished rs)))
     end;
-    { scanned; redone = 0; skipped = preskipped; analysis_scanned }
+    { scanned; redone = 0; skipped = preskipped; analysis_scanned = a.analysis_scanned }
   | `Eager ->
-    (* Bucket the redo scan by owning shard — the plan [Core.Partition]
-       would compute, coarsened to the static shard boundaries (each
-       record touches one page; pages never change owner; so the buckets
-       are conflict-closed and replay in parallel by Theorem 3). *)
-    let buckets = Array.make t.nshards [] in
-    let scanned = ref 0 in
-    List.iter
-      (fun r ->
-        incr scanned;
-        match Record.payload r with
-        | Record.Physiological { pid; _ } ->
-          let i = pid mod t.nshards in
-          buckets.(i) <- r :: buckets.(i)
-        | Record.Checkpoint _ | Record.Shard_checkpoint _ -> ()
-        | payload ->
-          invalid_arg
-            (Fmt.str "sharded recovery: unexpected record %a" Record.pp_payload payload))
-      slice;
+    (* Every owner walks the whole slice in LSN order and redoes only
+       its own pages. Each record touches one page and pages never
+       change owner, so the shards' page sets are conflict-closed and
+       replay in parallel by Theorem 3. *)
     let parent = Span.current () in
-    let replay (s : shard) records () =
-      let redone = ref 0 and skipped = ref 0 in
-      let total = List.length records in
+    let replay (s : shard) () =
       let track = Oplat.enabled () in
-      if track then Oplat.recovery_progress ~shard:s.index ~replayed:0 ~remaining:total;
-      let seen = ref 0 in
-      List.iter
-        (fun r ->
-          incr seen;
-          (* Coarse cursor updates: every 64 records keeps the gauge off
-             the replay hot path. *)
-          if track && !seen land 63 = 0 then
-            Oplat.recovery_progress ~shard:s.index ~replayed:!seen
-              ~remaining:(total - !seen);
-          match Record.payload r with
-          | Record.Physiological { pid; op } ->
-            if surely_on_disk ~pid ~lsn:(Record.lsn r) then incr skipped
-            else begin
-              let page = Cache.read s.cache pid in
-              if Lsn.(Page.lsn page < Record.lsn r) then begin
-                Cache.update s.cache pid ~lsn:(Record.lsn r) (Page_op.apply op);
-                incr redone
-              end
-              else incr skipped
-            end
-          | _ -> assert false)
-        records;
-      if track then Oplat.recovery_progress ~shard:s.index ~replayed:total ~remaining:0;
-      !redone, !skipped
+      let progress seen =
+        if track then
+          Oplat.recovery_progress ~shard:s.index ~replayed:seen ~remaining:(scanned - seen)
+      in
+      progress 0;
+      let result =
+        Redo_engine.walk ~progress a s.cache ~owns:(fun pid -> pid mod t.nshards = s.index)
+      in
+      progress scanned;
+      result
     in
     let results =
-      let tickets =
-        Array.mapi
-          (fun i s ->
-            let records = List.rev buckets.(i) in
-            Mailbox.call s.mailbox (fun () ->
-                if Span.enabled () then
-                  Span.span ~parent "kv.shard.recover"
-                    ~attrs:
-                      [
-                        "shard", Span.Int s.index;
-                        "records", Span.Int (List.length records);
-                      ]
-                    (replay s records)
-                else replay s records ()))
-          t.shard_arr
-      in
-      Array.map Mailbox.Ticket.await tickets
+      on_shards t (fun s ->
+          if Span.enabled () then
+            Span.span ~parent "kv.shard.recover"
+              ~attrs:[ "shard", Span.Int s.index ]
+              (replay s)
+          else replay s ())
     in
     let redone = Array.fold_left (fun acc (r, _) -> acc + r) 0 results in
     let skipped = Array.fold_left (fun acc (_, s) -> acc + s) 0 results in
     Metrics.add c_replayed redone;
     Atomic.incr t.recoveries;
-    ignore (Atomic.fetch_and_add t.scanned !scanned);
+    ignore (Atomic.fetch_and_add t.scanned scanned);
     ignore (Atomic.fetch_and_add t.redone redone);
     ignore (Atomic.fetch_and_add t.skipped skipped);
     if Oplat.enabled () then Oplat.recovery_finished ();
-    { scanned = !scanned; redone; skipped; analysis_scanned }
+    { scanned; redone; skipped; analysis_scanned = a.analysis_scanned }
 
 (* ---- certification -------------------------------------------------- *)
 
 let projection t =
-  let universe = Kv_layout.universe ~partitions:t.n_partitions in
-  let start = scan_start t in
-  let ops, redo_ids =
-    List.fold_left
-      (fun (ops, redo) r ->
-        match Record.payload r with
-        | Record.Physiological { pid; op } ->
-          let core_op = Projection.physiological_op ~lsn:(Record.lsn r) ~pid op in
-          (* The redo set is what the actual scan would replay: records
-             the checkpoint does not skip whose LSN test (against the
-             stable page at crash time) fails. *)
-          let redo =
-            if
-              Lsn.(start <= Record.lsn r)
-              && Lsn.(Page.lsn (Disk.read t.disk pid) < Record.lsn r)
-            then Projection.op_id (Record.lsn r) :: redo
-            else redo
-          in
-          core_op :: ops, redo
-        | _ -> ops, redo)
-      ([], [])
-      (Log_manager.stable_records t.log)
-  in
-  Projection.make ~method_name:name ~lsn_values:true ~universe ~ops:(List.rev ops)
-    ~stable:(Projection.stable_state_of_disk ~lsn_values:true t.disk universe)
-    ~redo_ids:(List.rev redo_ids)
+  Projection.physiological ~method_name:name
+    ~universe:(Kv_layout.universe ~partitions:t.n_partitions)
+    t.log t.disk
 
 let verify_recovery_invariant ?domains t =
   let pool =

@@ -30,9 +30,10 @@
     ({!Redo_ckpt.Installer}) per shard on its owner domain (shard
     records piggyback on the group committer); {!crash} loses every
     volatile cache and the unforced log tail behind the same flight
-    gate the simulator uses; {!recover} buckets the stable log by owner
-    and replays shards in parallel under the per-shard horizon and
-    page-LSN tests.
+    gate the simulator uses; {!recover} runs the shared
+    {!Redo_restart.Redo_engine} — one analysis pass, then every owner
+    replays its own pages in parallel under the per-shard horizon,
+    dirty-page-table and page-LSN tests.
 
     Every run is certifiable: {!verify_recovery_invariant} projects the
     crashed store into the theory (Section 4.5), and {!certify} checks
@@ -148,13 +149,15 @@ val crash_torn : t -> drop:int -> unit
     both media (WAL and flight recorder). *)
 
 val recover : ?mode:[ `Eager | `Instant ] -> t -> recovery_stats
-(** ARIES-style analysis on the coordinator (checkpoint + dirty-page
-    table → redo start), then redo per [mode] (default [`Eager]):
+(** ARIES-style analysis on the coordinator
+    ({!Redo_restart.Redo_engine.analyze}: checkpoint + dirty-page table
+    → redo slice), then redo per [mode] (default [`Eager]):
 
-    - [`Eager]: bucket the stable records by owning shard and replay
-      all shards in parallel on their owner domains, skipping by
-      per-shard horizon, dirty-page table and the page-LSN test.
-      Returns after the recovered set is total.
+    - [`Eager]: every owner domain walks the redo slice in LSN order,
+      in parallel, and replays only its own pages
+      ({!Redo_restart.Redo_engine.walk}), skipping by per-shard
+      horizon, dirty-page table and the page-LSN test. Returns after
+      the recovered set is total.
     - [`Instant]: partition the same records into per-page queues
       (excluding everything the horizon/DPT test already clears) and
       return {e before replaying anything} — the store serves

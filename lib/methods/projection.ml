@@ -93,3 +93,29 @@ let make ~method_name ~lsn_values ~universe ~ops ~stable ~redo_ids =
     redo_ids;
     universe = Var.Set.of_list (List.map Var.page universe);
   }
+
+(* A log of physiological records, as every page-LSN store keeps one.
+   The redo set is what the redo scan would replay: records from the
+   scan start whose LSN test against the stable page at the crash
+   fails. *)
+let physiological ~method_name ~universe log disk =
+  let start = Redo_restart.Redo_engine.scan_start log in
+  let ops, redo_ids =
+    List.fold_left
+      (fun (ops, redo) r ->
+        match Record.payload r with
+        | Record.Physiological { pid; op } ->
+          let lsn = Record.lsn r in
+          let redo =
+            if Lsn.(start <= lsn) && Lsn.(Page.lsn (Disk.read disk pid) < lsn) then
+              op_id lsn :: redo
+            else redo
+          in
+          physiological_op ~lsn ~pid op :: ops, redo
+        | _ -> ops, redo)
+      ([], [])
+      (Log_manager.stable_records log)
+  in
+  make ~method_name ~lsn_values:true ~universe ~ops:(List.rev ops)
+    ~stable:(stable_state_of_disk ~lsn_values:true disk universe)
+    ~redo_ids:(List.rev redo_ids)

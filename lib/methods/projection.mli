@@ -52,3 +52,10 @@ val make :
   stable:State.t ->
   redo_ids:string list ->
   t
+
+val physiological :
+  method_name:string -> universe:int list -> Log_manager.t -> Disk.t -> t
+(** Project a crashed page-LSN store: its stable log of physiological
+    records, its stable disk, and as redo set the records from
+    [Redo_restart.Redo_engine.scan_start] whose page-LSN test fails
+    against the stable page. Call after the crash, before recovery. *)

@@ -1,10 +1,10 @@
 (** Instant restart: per-page redo queues drained on demand.
 
-    After the analysis pass, the store opens for service immediately;
-    each page's missing redo tail waits in a queue and is replayed the
-    first time something touches the page — a client operation faulting
-    on it ({!Demand}) or the background sweeper reaching it
-    ({!Sweeper}). Soundness is Theorem 3: in the sharded KV system
+    After the analysis pass ({!Redo_engine.analyze}), the store opens
+    for service immediately; each page's missing redo tail waits in a
+    queue and is replayed the first time something touches the page — a
+    client operation faulting on it ({!Demand}) or the background
+    sweeper reaching it ({!Sweeper}). Soundness is Theorem 3: in the sharded KV system
     every logged operation touches exactly one page, so the conflict
     graph's components are single pages and a page's careful-order
     predecessor closure is its own queue in LSN order — draining whole
@@ -12,6 +12,11 @@
     general DAG form of the same claim is
     [Redo_core.Recovery.recover_lazy], and both are checked against
     eager replay by [Theory_check]'s lazy leg on every check.
+
+    The plan excludes records by {!Redo_engine.surely_on_disk}, and the
+    caller's [apply] replays a queue through {!Redo_engine.redo}: the
+    same skip test and redo step eager recovery uses, in a different
+    order.
 
     Threading: queues belong to their page's shard owner — {!ensure}
     must run on that owner domain (the single-writer discipline of the

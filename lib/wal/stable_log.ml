@@ -58,7 +58,7 @@ let append t payload =
   let data = t.data and pos = t.len in
   Bytes.set_int32_be data pos (Int32.of_int payload_len);
   Bytes.blit_string payload 0 data (pos + header_size) payload_len;
-  let crc = Checksum.update 0 data ~pos:(pos + header_size) ~len:payload_len in
+  let crc = Redo_obs.Checksum.update 0 data ~pos:(pos + header_size) ~len:payload_len in
   Bytes.set_int32_be data (pos + 4) (Int32.of_int crc);
   t.len <- pos + n;
   t.frames <- t.frames + 1;
@@ -102,7 +102,7 @@ let scan t =
         { records = List.rev acc; valid_bytes = pos; torn = true }
       else
         let start = pos + header_size in
-        if Checksum.update 0 data ~pos:start ~len:payload_len <> crc then
+        if Redo_obs.Checksum.update 0 data ~pos:start ~len:payload_len <> crc then
           { records = List.rev acc; valid_bytes = pos; torn = true }
         else
           match Codec.decode_record_at data ~pos:start ~len:payload_len with

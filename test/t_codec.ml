@@ -2,13 +2,13 @@ open Redo_storage
 open Redo_wal
 
 let test_crc_known_value () =
-  Alcotest.(check bool) "CRC32(123456789) = 0xCBF43926" true (Checksum.self_test ());
-  Alcotest.(check int) "empty" 0 (Checksum.string "")
+  Alcotest.(check bool) "CRC32(123456789) = 0xCBF43926" true (Redo_obs.Checksum.self_test ());
+  Alcotest.(check int) "empty" 0 (Redo_obs.Checksum.string "")
 
 let test_crc_incremental () =
-  let whole = Checksum.string "hello world" in
+  let whole = Redo_obs.Checksum.string "hello world" in
   let b = Bytes.of_string "hello world" in
-  Alcotest.(check int) "bytes = string" whole (Checksum.bytes b)
+  Alcotest.(check int) "bytes = string" whole (Redo_obs.Checksum.bytes b)
 
 (* Bit-at-a-time CRC-32 straight from the definition (reflected
    polynomial 0xEDB88320, pre- and post-inverted): the reference the
@@ -34,8 +34,8 @@ let test_crc_matches_reference () =
       let b = rand_bytes rng (pos + len + Random.State.int rng 16) in
       let expected = reference_crc b ~pos ~len in
       Alcotest.(check int) (Printf.sprintf "len %d at pos %d" len pos) expected
-        (Checksum.update 0 b ~pos ~len);
-      Alcotest.(check int) "bytes ~pos ~len" expected (Checksum.bytes ~pos ~len b)
+        (Redo_obs.Checksum.update 0 b ~pos ~len);
+      Alcotest.(check int) "bytes ~pos ~len" expected (Redo_obs.Checksum.bytes ~pos ~len b)
     done
   done
 
@@ -49,9 +49,9 @@ let prop_crc_chained seed =
     if pos = len then crc
     else
       let n = 1 + Random.State.int rng (len - pos) in
-      chain (Checksum.update crc b ~pos ~len:n) (pos + n)
+      chain (Redo_obs.Checksum.update crc b ~pos ~len:n) (pos + n)
   in
-  let whole = Checksum.bytes b in
+  let whole = Redo_obs.Checksum.bytes b in
   chain 0 0 = whole && whole = reference_crc b ~pos:0 ~len
 
 let test_crc_bounds () =
@@ -61,12 +61,12 @@ let test_crc_bounds () =
     | _ -> Alcotest.failf "%s: out-of-range read accepted" name
   in
   let b = Bytes.create 8 in
-  rejects "len past end" (fun () -> Checksum.bytes ~pos:0 ~len:4096 b);
-  rejects "pos past end" (fun () -> Checksum.bytes ~pos:9 b);
-  rejects "negative pos" (fun () -> Checksum.update 0 b ~pos:(-1) ~len:2);
-  rejects "negative len" (fun () -> Checksum.update 0 b ~pos:2 ~len:(-1));
-  rejects "range one past end" (fun () -> Checksum.update 0 b ~pos:1 ~len:8);
-  Alcotest.(check int) "empty range at end" 0 (Checksum.update 0 b ~pos:8 ~len:0)
+  rejects "len past end" (fun () -> Redo_obs.Checksum.bytes ~pos:0 ~len:4096 b);
+  rejects "pos past end" (fun () -> Redo_obs.Checksum.bytes ~pos:9 b);
+  rejects "negative pos" (fun () -> Redo_obs.Checksum.update 0 b ~pos:(-1) ~len:2);
+  rejects "negative len" (fun () -> Redo_obs.Checksum.update 0 b ~pos:2 ~len:(-1));
+  rejects "range one past end" (fun () -> Redo_obs.Checksum.update 0 b ~pos:1 ~len:8);
+  Alcotest.(check int) "empty range at end" 0 (Redo_obs.Checksum.update 0 b ~pos:8 ~len:0)
 
 (* --- random record generation for fuzzing --- *)
 

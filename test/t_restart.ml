@@ -24,6 +24,8 @@ open Redo_wal
 open Redo_kv
 open Redo_workload
 module Lazy_redo = Redo_restart.Lazy_redo
+module Physiological = Redo_methods.Physiological
+module Projection = Redo_methods.Projection
 module Theory_check = Redo_methods.Theory_check
 module Flight = Redo_obs.Flight
 module Triage = Redo_obs.Triage
@@ -439,6 +441,91 @@ let fuzz_instant ~shards seed =
   Alcotest.(check bool) "post-restart certified" true (Theory_check.certificate_ok relive);
   true
 
+(* ---- the redo engine redoes exactly the certified redo set ---------- *)
+
+(* Physiological records at or after the newest stable checkpoint's
+   scan start: each one gets a redo decision, one way or the other. *)
+let slice_ops log =
+  let start =
+    match Log_manager.last_stable_checkpoint log with
+    | None -> Lsn.of_int 1
+    | Some (lsn, c) ->
+      List.fold_left (fun acc (_, l) -> min acc l) (Lsn.next lsn) c.Record.dirty_pages
+  in
+  List.length
+    (List.filter
+       (fun r ->
+         match Record.payload r with
+         | Record.Physiological _ -> Lsn.(start <= Record.lsn r)
+         | _ -> false)
+       (Log_manager.stable_records log))
+
+let check_decisions label (proj : Projection.t) ~slice ~redone ~skipped =
+  Alcotest.(check int) (label ^ ": redone = redo set") (List.length proj.redo_ids) redone;
+  Alcotest.(check int) (label ^ ": redone + skipped = slice") slice (redone + skipped)
+
+(* Random histories with both checkpoint kinds and clean or torn
+   crashes, over caches that hold every page. After each crash the
+   projection's redo set — the set [Theory_check] certifies — must be
+   exactly what recovery redoes: physiological recovery, and the
+   sharded store's eager and instant restarts. *)
+let engine_redoes_redo_set seed =
+  let rng = Random.State.make [| 0x7ed0; seed |] in
+  let key () = Printf.sprintf "k%02d" (Random.State.int rng 24) in
+  let value () = Printf.sprintf "v%d" (Random.State.int rng 1000) in
+  let torn () = Random.State.int rng 3 = 0 in
+  let drop () = 1 + Random.State.int rng 4 in
+  let p = Physiological.create ~cache_capacity:64 ~partitions:8 () in
+  for _ = 1 to 3 do
+    for _ = 1 to 10 + Random.State.int rng 40 do
+      match Random.State.int rng 100 with
+      | r when r < 60 -> Physiological.put p (key ()) (value ())
+      | r when r < 70 -> Physiological.delete p (key ())
+      | r when r < 80 -> Physiological.flush_some p rng
+      | r when r < 86 -> Physiological.checkpoint p
+      | r when r < 90 -> ignore (Physiological.checkpoint_sharded ~domains:1 p)
+      | _ -> Physiological.sync p
+    done;
+    if torn () then Physiological.crash_torn p ~drop:(drop ()) else Physiological.crash p;
+    let proj = Physiological.projection p in
+    let slice = slice_ops (Physiological.log p) in
+    let r = Physiological.recover p in
+    check_decisions "physiological" proj ~slice ~redone:r.redone ~skipped:r.skipped
+  done;
+  let shards = 1 + Random.State.int rng 3 in
+  let store =
+    Sharded_store.create ~shards ~partitions:(4 * shards) ~cache_capacity:64 ()
+  in
+  Fun.protect ~finally:(fun () -> Sharded_store.close store) @@ fun () ->
+  for round = 1 to 4 do
+    for _ = 1 to 10 + Random.State.int rng 40 do
+      match Random.State.int rng 100 with
+      | r when r < 65 -> Sharded_store.put store (key ()) (value ())
+      | r when r < 75 -> Sharded_store.delete store (key ())
+      | r when r < 83 -> Sharded_store.checkpoint store
+      | r when r < 88 -> ignore (Sharded_store.checkpoint_sharded store)
+      | _ -> Sharded_store.sync store
+    done;
+    if torn () then Sharded_store.crash_torn store ~drop:(drop ())
+    else Sharded_store.crash store;
+    let proj = Sharded_store.projection store in
+    let slice = slice_ops (Sharded_store.log store) in
+    if (round + seed) mod 2 = 0 then begin
+      let r = Sharded_store.recover store in
+      check_decisions "sharded eager" proj ~slice ~redone:r.redone ~skipped:r.skipped
+    end
+    else begin
+      let before = Sharded_store.stats store in
+      ignore (Sharded_store.recover ~mode:`Instant store);
+      ignore (Sharded_store.await_recovery store);
+      let after = Sharded_store.stats store in
+      check_decisions "sharded instant" proj ~slice
+        ~redone:(after.records_redone - before.records_redone)
+        ~skipped:(after.records_skipped - before.records_skipped)
+    end
+  done;
+  true
+
 let suite =
   [
     Util.qtest "plan partitions the slice" plan_partitions;
@@ -453,4 +540,5 @@ let suite =
     Util.qtest "crash-mid-restart fuzz: 1 shard" (fuzz_instant ~shards:1);
     Util.qtest "crash-mid-restart fuzz: 2 shards" (fuzz_instant ~shards:2);
     Util.qtest "crash-mid-restart fuzz: 4 shards" (fuzz_instant ~shards:4);
+    Util.qtest "engine redoes exactly the redo set" engine_redoes_redo_set;
   ]

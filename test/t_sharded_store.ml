@@ -225,12 +225,20 @@ let test_basics () =
 let test_close_idempotent () =
   let store = Sharded_store.create ~shards:2 () in
   Sharded_store.put store "k" "v";
+  Sharded_store.delete store "gone";
   Sharded_store.close store;
   Sharded_store.close store;
-  Alcotest.(check bool) "ops rejected after close" true
-    (match Sharded_store.sync store with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+  let rejected f = match f () with exception Invalid_argument _ -> true | () -> false in
+  Alcotest.(check bool) "sync rejected after close" true
+    (rejected (fun () -> Sharded_store.sync store));
+  Alcotest.(check bool) "put rejected after close" true
+    (rejected (fun () -> Sharded_store.put store "k" "w"));
+  Alcotest.(check bool) "delete rejected after close" true
+    (rejected (fun () -> Sharded_store.delete store "k"));
+  (* A rejected call is not counted. *)
+  let s = Sharded_store.stats store in
+  Alcotest.(check int) "puts unchanged" 1 s.puts;
+  Alcotest.(check int) "deletes unchanged" 1 s.deletes
 
 let suite =
   [
